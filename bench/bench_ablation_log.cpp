@@ -98,9 +98,6 @@ void copy_crossover() {
 
 int main() {
     pmem::set_profile(pmem::Profile::NOP);
-    // The range-log ablations measure the slow-path commit pipeline; the
-    // §4.11 stripe fast path never consults the RangeLog.
-    romulus::update_config().fastpath = false;
     print_header("Ablation: volatile range log design choices (Section 4.7)");
     dedup_effectiveness();
     deferred_pwbs();

@@ -185,10 +185,6 @@ void write_json(const std::vector<TxResult>& tx,
 
 int main() {
     pmem::set_profile(pmem::Profile::CLWB);  // degrades to clflushopt/clflush
-    // This bench isolates the slow-path commit pipeline (coalesce / NT
-    // modes); the small footprints would otherwise commit through the
-    // §4.11 stripe fast path and measure fp_apply instead.
-    romulus::update_config().fastpath = false;
     print_header("Commit-path pipelines: coalesced runs + streaming replication");
     std::printf("flush profile: %s\n",
                 pmem::profile_name(pmem::effective_profile()));

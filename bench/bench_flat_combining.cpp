@@ -58,9 +58,6 @@ void run(int nthreads) {
 
 int main() {
     pmem::set_profile(pmem::Profile::CLFLUSH);
-    // Single-counter increments would commit via the §4.11 stripe fast
-    // path and never announce; this bench measures the combiner.
-    romulus::update_config().fastpath = false;
     print_header("Flat-combining fence amortisation (Section 5.3)");
     for (int nt : bench_threads()) {
         run<RomulusLog>(nt);

@@ -97,10 +97,6 @@ double measure_direct(int nthreads) {
 
 int main() {
     pmem::set_profile(pmem::Profile::CLWB);  // degrades to clflushopt/clflush
-    // This bench gauges per-shard *writer-lock* scaling
-    // (max_concurrent_writers); the §4.11 stripe fast path bypasses that
-    // lock for the small in-place overwrites it issues, so pin it off.
-    romulus::update_config().fastpath = false;
     print_header("Sharded RomulusLog: KV update throughput, threads x shards");
     std::printf("flush profile: %s\n",
                 pmem::profile_name(pmem::effective_profile()));

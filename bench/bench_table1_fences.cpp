@@ -73,9 +73,6 @@ void measure(int nstores) {
 
 int main() {
     pmem::set_profile(pmem::Profile::NOP);  // count events, not pay for them
-    // Table 1 is the paper's *slow-path* cost model; the §4.11 stripe fast
-    // path would commit the small transactions with its own fence schedule.
-    romulus::update_config().fastpath = false;
     print_header(
         "Table 1: fences, pwbs, write amplification per transaction");
     std::printf("%-10s %8s %10s %10s %14s %-13s\n", "PTM", "stores/tx",

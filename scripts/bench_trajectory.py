@@ -71,23 +71,6 @@ SCHEMAS = {
             },
         },
     },
-    "stripe": {
-        "disjoint": {
-            "key": ("engine", "threads", "mode"),
-            "metrics": {
-                # fp_commits stays in the artifact for humans but is not
-                # gated: in a fixed wall-clock window it is as noisy as the
-                # throughput it tracks.
-                "tx_per_sec": ("throughput", "higher"),
-            },
-        },
-        "conflict": {
-            "key": ("engine", "threads", "mode"),
-            "metrics": {
-                "tx_per_sec": ("throughput", "higher"),
-            },
-        },
-    },
     "sharding": {
         "sweep": {
             "key": ("threads", "shards"),

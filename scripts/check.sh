@@ -120,15 +120,6 @@ run_leg() {
             --iters "${ROMFUZZ_ITERS:-24}" --seed "${ROMFUZZ_SEED:-1}" \
             --mode both --fork-crashes "${ROMFUZZ_CRASHES:-3}" \
             --out "$bundles"
-        # Second pass with the stripe fast path pinned on and a generous
-        # footprint cap, so the randomized histories commit through the
-        # speculative path too (§4.11) — crash images of torn fast-path
-        # commits must recover all-or-nothing like every other commit.
-        ROMULUS_UPDATE_FASTPATH=1 ROMULUS_UPDATE_MAX_LINES=32 \
-            "$dir/tools/romfuzz" --engine all --shards 1,4 \
-            --iters "${ROMFUZZ_ITERS:-24}" --seed "${ROMFUZZ_SEED:-2}" \
-            --mode both --fork-crashes "${ROMFUZZ_CRASHES:-3}" \
-            --out "$bundles-fastpath"
         ;;
     *)
         echo "unknown leg: $leg (default|werror|asan|tsan|race|persistgraph|fuzz)" >&2

@@ -243,22 +243,14 @@ class RedoLogPTM {
             // Under the force-pessimistic A/B knob every writer routes
             // through the fallback mutex, so a "pessimistic" reader holding
             // it genuinely excludes all writers (readTx below) instead of
-            // only the rare fallback ones.  The TL2 speculative commit *is*
-            // this engine's stripe-locked update fast path (DESIGN.md
-            // §4.11), so the ROMULUS_UPDATE_FASTPATH knob forces the
-            // fallback mutex too — giving the same speculative-vs-
-            // serialized A/B axis as the other engines — and the shared
-            // fastpath_* counters classify each attempt.
-            const bool fallback = retries >= kFallbackRetries ||
-                                  !read_config().optimistic ||
-                                  !update_config().fastpath;
+            // only the rare fallback ones.  The fastpath_* counters classify
+            // each attempt of the TL2 speculative commit.
+            const bool fallback =
+                retries >= kFallbackRetries || !read_config().optimistic;
             std::unique_lock<std::mutex> flk;
             if (fallback) {
                 flk = std::unique_lock(s.fallback_mutex);
-                // A knob-off run is not a "fallback" — the counter
-                // classifies attempted speculations only.
-                if (update_config().fastpath)
-                    pmem::tl_commit_stats().fastpath_fallbacks++;
+                pmem::tl_commit_stats().fastpath_fallbacks++;
             }
             tx_begin(/*read_only=*/false);
             try {

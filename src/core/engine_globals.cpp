@@ -38,11 +38,6 @@ ReadConfig& read_config() {
     return cfg;
 }
 
-UpdateConfig& update_config() {
-    static UpdateConfig cfg;
-    return cfg;
-}
-
 bool parse_env_long(const char* text, long lo, long* out) {
     if (text == nullptr || *text == '\0') return false;
     errno = 0;
@@ -84,14 +79,6 @@ std::string apply_env_tuning() {
     });
     env_long("ROMULUS_COMBINE_WAIT_US", 0, [](long n) {
         pmem::commit_config().combine_wait_us = static_cast<unsigned>(n);
-    });
-    env_long("ROMULUS_UPDATE_FASTPATH", 0,
-             [](long n) { update_config().fastpath = n != 0; });
-    env_long("ROMULUS_UPDATE_MAX_LINES", 1, [](long n) {
-        update_config().max_fastpath_lines = static_cast<unsigned>(n);
-    });
-    env_long("ROMULUS_UPDATE_STRIPES", 1, [](long n) {
-        update_config().stripes = static_cast<unsigned>(n);
     });
     return os.str();
 }

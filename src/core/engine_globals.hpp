@@ -49,33 +49,15 @@ struct ReadConfig {
     /// Optimistic attempts (including the first) before a readTx gives up
     /// and falls back to the reader lock.  Bounded, so a reader never
     /// starves behind a stream of writers: the fallback inherits C-RW-WP's
-    /// starvation freedom.
-    unsigned max_attempts = 4;
+    /// starvation freedom.  Each attempt that finds a writer inside its
+    /// window costs one spin_wait pause, so the default is sized against a
+    /// combiner window (several closures plus the commit flushes): a
+    /// reader that gives up inside it takes the reader lock, waits out the
+    /// whole writer hold including back replication, and delays the next
+    /// combiner (EXPERIMENTS.md E18 has the sweep that picked it).
+    unsigned max_attempts = 64;
 };
 ReadConfig& read_config();
-
-/// Runtime knobs for the stripe-locked speculative update fast path
-/// (DESIGN.md §4.11).  Process-wide, read on every updateTx; mutate only
-/// from quiescent test/bench setup code.  Eligibility is transparent to
-/// callers: a transaction that overflows, conflicts, or allocates silently
-/// re-runs on the C-RW-WP slow path with identical semantics.
-struct UpdateConfig {
-    /// Master switch: false forces every updateTx onto the C-RW-WP
-    /// writer-lock / flat-combining slow path (the pre-§4.11 behaviour) —
-    /// the A/B control for bench_stripe_updates.
-    bool fastpath = true;
-    /// Write-footprint cap in cache lines; a speculative transaction whose
-    /// write set grows past this aborts to the slow path (large writers
-    /// amortize the shard lock fine; the fast path targets small updates).
-    unsigned max_fastpath_lines = 8;
-    /// Read-set cap in stripe observations; past this the speculation
-    /// aborts (validation cost would grow past what the slow path charges).
-    unsigned max_read_stripes = 64;
-    /// Stripe count per shard (rounded up to a power of two at engine
-    /// init).  More stripes = fewer false conflicts, more volatile memory.
-    unsigned stripes = 1024;
-};
-UpdateConfig& update_config();
 
 /// Strict base-10 integer parse for environment knobs: accepts optional
 /// whitespace then a complete signed decimal number and nothing else.
@@ -90,18 +72,15 @@ bool parse_env_long(const char* text, long lo, long* out);
 /// parse_env_long over getenv(name).
 bool env_to_long(const char* name, long lo, long* out);
 
-/// Seed ReadConfig / UpdateConfig / pmem::CommitConfig from the environment
-/// — lets the fuzz/CI legs sweep knob settings without recompiling.
-/// Recognized (unset or malformed vars leave the compiled defaults):
+/// Seed ReadConfig / pmem::CommitConfig from the environment — lets the
+/// fuzz/CI legs sweep knob settings without recompiling.  Recognized (unset
+/// or malformed vars leave the compiled defaults):
 ///   ROMULUS_READ_OPTIMISTIC=0|1      ReadConfig::optimistic
 ///   ROMULUS_READ_MAX_ATTEMPTS=<n>    ReadConfig::max_attempts (>= 1)
 ///   ROMULUS_COMMIT_COALESCE=0|1      CommitConfig::coalesce
 ///   ROMULUS_NT_THRESHOLD=<bytes>     CommitConfig::nt_threshold
 ///   ROMULUS_COMBINE_RESCANS=<n>      CommitConfig::combine_rescans
 ///   ROMULUS_COMBINE_WAIT_US=<us>     CommitConfig::combine_wait_us
-///   ROMULUS_UPDATE_FASTPATH=0|1     UpdateConfig::fastpath
-///   ROMULUS_UPDATE_MAX_LINES=<n>    UpdateConfig::max_fastpath_lines (>= 1)
-///   ROMULUS_UPDATE_STRIPES=<n>      UpdateConfig::stripes (>= 1)
 /// Returns a human-readable summary of the overrides applied (empty when
 /// none).  Call from tool main()s before any engine init; knobs are
 /// process-wide and read on every transaction.

@@ -7,8 +7,7 @@
 // in-place store and schedules the cache-line write-back — and loads are
 // routed to PTM::pload — which applies the Left-Right synthetic-pointer
 // offset (RomulusLR, §5.3 / Figure 3) or consults the transaction write set
-// (the redo-log baseline always; every engine's stripe-locked speculative
-// update fast path, DESIGN.md §4.11, while a speculation is buffering).
+// (redo-log baseline).
 //
 // This is the same technique PMDK uses (§4.4): it needs no special compiler,
 // and porting volatile code mostly means wrapping member types.

@@ -13,14 +13,6 @@
 // than a threshold (or overflows the table) the log degenerates to
 // "full copy" mode — the same behaviour as the basic algorithm, which §6.6
 // shows is actually *preferable* for huge transactions.
-//
-// The stripe-locked speculative fast path (DESIGN.md §4.11) never consults
-// this log: its sync::SpecBuffer write set already holds the touched lines
-// deduplicated and sorted, so the fast-path apply coalesces adjacent lines
-// into maximal flush/replication runs itself, mirroring merged_runs() for a
-// footprint that is bounded by UpdateConfig::max_fastpath_lines.  Only the
-// C-RW-WP slow path — where the write set is unbounded — pays for the
-// table.
 #pragma once
 
 #include <algorithm>

@@ -57,7 +57,6 @@
 #include "sync/left_right.hpp"
 #include "sync/seqlock.hpp"
 #include "sync/spinlock.hpp"
-#include "sync/stripe_lock.hpp"
 #include "sync/thread_registry.hpp"
 
 namespace romulus {
@@ -165,14 +164,6 @@ class RomulusEngine {
 
     template <typename T>
     static void pstore(T* addr, const T& val) {
-        if constexpr (!Traits::kUseLR) {
-            if (tl.fp_active) {
-                // Speculative fast path (§4.11): main is untouched until
-                // commit — the store lands in the thread-local write set.
-                fp_store(addr, &val, sizeof(T));
-                return;
-            }
-        }
         *addr = val;
         ROMULUS_RACE_WRITE(addr, sizeof(T));
         Shard* sh = owning_shard_main(addr);
@@ -199,17 +190,6 @@ class RomulusEngine {
 
     template <typename T>
     static T pload(const T* addr) {
-        if constexpr (!Traits::kUseLR) {
-            if (tl.fp_active) {
-                // Speculative fast path (§4.11): consult the write set, and
-                // validate every uncaptured load against its stripe so a
-                // concurrent fast-path committer's mid-apply state is never
-                // observed.
-                T v;
-                fp_load(&v, addr, sizeof(T));
-                return v;
-            }
-        }
         T v = *addr;
         if constexpr (!Traits::kUseLR) {
             if (tl.opt_active) {
@@ -246,31 +226,12 @@ class RomulusEngine {
 
     /// Bulk transactional store (used for byte payloads, e.g. DB values).
     static void store_range(void* dst, const void* src, size_t n) {
-        if constexpr (!Traits::kUseLR) {
-            if (tl.fp_active) {
-                fp_store(dst, src, n);
-                return;
-            }
-        }
         std::memcpy(dst, src, n);
         ROMULUS_RACE_WRITE(dst, n);
         range_written(dst, n);
     }
 
     static void zero_range(void* dst, size_t n) {
-        if constexpr (!Traits::kUseLR) {
-            if (tl.fp_active) {
-                static constexpr uint8_t kZeros[64] = {};
-                uint8_t* p = static_cast<uint8_t*>(dst);
-                while (n > 0) {
-                    const size_t take = n < sizeof(kZeros) ? n : sizeof(kZeros);
-                    fp_store(p, kZeros, take);
-                    p += take;
-                    n -= take;
-                }
-                return;
-            }
-        }
         std::memset(dst, 0, n);
         ROMULUS_RACE_WRITE(dst, n);
         range_written(dst, n);
@@ -286,16 +247,6 @@ class RomulusEngine {
     /// ordering: CPY must never be durable with a stale used_size, or the
     /// main->back copy would miss committed bytes).
     static void note_used(const void* end) {
-        if constexpr (!Traits::kUseLR) {
-            // The fast path never allocates from the shard heap (alloc_bytes
-            // dooms the speculation and serves scratch memory first), so a
-            // used_size growth notification means the speculation escaped
-            // its footprint contract: doom it and leave the header alone.
-            if (tl.fp_active) {
-                fp_doom();
-                return;
-            }
-        }
         Shard& sh = current_shard();
         uint64_t off = static_cast<const uint8_t*>(end) - sh.main;
         if (off > sh.hdr->used_size.load(std::memory_order_relaxed)) {
@@ -456,18 +407,6 @@ class RomulusEngine {
         }
         assert(shard_id < s.nshards);
         Shard& sh = shard(shard_id);
-        if constexpr (!Traits::kUseLR) {
-            // Stripe-locked speculative fast path (§4.11): small disjoint
-            // updates commit durably without the shard writer lock.  Any
-            // conflict, footprint overflow or allocation falls through to
-            // the universal flat-combining slow path below — eligibility is
-            // transparent to the caller, but like the optimistic read path
-            // the closure may run more than once (docs/API.md).
-            if (update_config().fastpath) {
-                if (try_fastpath_update(sh, shard_id, f)) return;
-                pmem::tl_commit_stats().fastpath_fallbacks++;
-            }
-        }
         const int t = sync::tid();
         sync::FlatCombiningArray::Op op{std::forward<F>(f)};
         sh.fc.announce(t, &op);
@@ -560,23 +499,13 @@ class RomulusEngine {
             struct Guard {
                 Shard& sh;
                 int t;
-                bool gated;
                 ~Guard() {
                     ROMULUS_RACE_TX_END();
                     tl.read_depth = 0;
-                    if (gated) sh.fp_gate.read_unlock(t);
                     sh.rwlock.read_unlock(t);
                 }
-            } guard{sh, t, false};
+            } guard{sh, t};
             sh.rwlock.read_lock(t);
-            if (update_config().fastpath) {
-                // Fast-path committers apply under a *shared* rwlock hold
-                // (§4.11), so the reader lock alone no longer guarantees a
-                // quiescent main: additionally exclude the applier phase.
-                // Lock order everywhere: rwlock shared, then fp_gate.
-                sh.fp_gate.read_lock(t);
-                guard.gated = true;
-            }
             ROMULUS_RACE_TX_BEGIN("read-tx");
             f();
         }
@@ -613,17 +542,6 @@ class RomulusEngine {
 
     static void* alloc_bytes(size_t n) {
         assert(tl.tx_depth > 0 && "allocation outside a transaction");
-        if constexpr (!Traits::kUseLR) {
-            // Allocator metadata mutations are not stripe-guarded: an
-            // allocating transaction always re-runs on the slow path (§4.11).
-            // The doomed continuation still needs usable memory — possibly
-            // beneath a noexcept frame, so no exception — and gets volatile
-            // scratch that dies with the speculation.
-            if (tl.fp_active) {
-                fp_doom();
-                return tl_fp().scratch_alloc(n);
-            }
-        }
         void* ptr = current_shard().alloc.alloc(n);
         if (ptr == nullptr) throw std::bad_alloc();
         return ptr;
@@ -631,15 +549,6 @@ class RomulusEngine {
 
     static void free_bytes(void* ptr) {
         assert(tl.tx_depth > 0 && "free outside a transaction");
-        if constexpr (!Traits::kUseLR) {
-            // tmDelete is routinely reached from noexcept destructors, so
-            // the speculation dooms without throwing and the free is simply
-            // dropped: the slow-path re-run performs the real one.
-            if (tl.fp_active) {
-                fp_doom();
-                return;
-            }
-        }
         if (ptr == nullptr) return;
         // Cross-shard frees are an application contract violation: objects
         // live and die in the shard whose transaction allocated them.
@@ -724,11 +633,6 @@ class RomulusEngine {
     static sync::SeqLock& seq_for_tests(unsigned shard_id = 0) {
         return shard(shard_id).seq;
     }
-    /// Test hook: the shard's fast-path stripe table (§4.11), exposed so
-    /// fixtures can plant a held stripe / inspect versions directly.
-    static sync::StripeLockTable& stripes_for_tests(unsigned shard_id = 0) {
-        return shard(shard_id).stripes;
-    }
 
     /// Flat-combining aggregation stats (§5.3: several announced updates
     /// execute inside one durable transaction, so the *average* number of
@@ -777,8 +681,6 @@ class RomulusEngine {
             new (&sh.lr_writer_lock) sync::SpinLock();
             new (&sh.lr) sync::LeftRight();
             new (&sh.seq) sync::SeqLock();  // a crash mid-MUT left it odd
-            new (&sh.fp_gate) sync::CRWWPLock();
-            sh.stripes.reset_for_tests();  // held stripes died with the crash
             new (&sh.fc) sync::FlatCombiningArray();
         }
     }
@@ -852,8 +754,7 @@ class RomulusEngine {
     /// volatile concurrency kit.  Constructed only for active shards (the
     /// range log alone owns ~0.2–0.8 MB of dedup table).
     struct Shard {
-        explicit Shard(size_t log_bits)
-            : log(log_bits), stripes(update_config().stripes) {}
+        explicit Shard(size_t log_bits) : log(log_bits) {}
 
         uint8_t* main = nullptr;
         uint8_t* back = nullptr;
@@ -865,9 +766,6 @@ class RomulusEngine {
         sync::SpinLock lr_writer_lock;    // LR variant (readers use lr)
         sync::LeftRight lr;
         sync::SeqLock seq;                // optimistic-read window (§4.9)
-        sync::StripeLockTable stripes;    // fast-path version locks (§4.11)
-        sync::CRWWPLock fp_gate;          // fast-path appliers (writers) vs
-                                          // pessimistic readers (§4.11)
         sync::FlatCombiningArray fc;
         std::atomic<uint64_t> combines{0};      // combiner invocations
         std::atomic<uint64_t> combined_ops{0};  // operations they executed
@@ -893,7 +791,6 @@ class RomulusEngine {
         unsigned shard = 0;  ///< shard of the open tx / read tx
         bool opt_active = false;  ///< inside a seqlock-validated read attempt
         uint64_t opt_seq = 0;     ///< the attempt's sequence snapshot
-        bool fp_active = false;   ///< inside a speculative update attempt
     };
     static inline thread_local TlState tl{};
 
@@ -1156,213 +1053,6 @@ class RomulusEngine {
         }
         rs.fallbacks++;
         return false;
-    }
-
-    // --- speculative update fast path (§4.11) ------------------------------
-    //
-    // Protocol (C-RW-WP variants only; RomulusLR keeps its Left-Right path):
-    //   1. try_read_lock the shard's C-RW-WP lock: a *shared* hold for the
-    //      whole speculation excludes slow-path combiners (who mutate main
-    //      unstriped under the exclusive hold) without ever blocking.
-    //   2. Run the closure with every pstore buffered into a thread-local
-    //      write set of whole cache lines and every pload validated against
-    //      the line's stripe word (locked, or version > the start-time clock
-    //      snapshot rv => abort).  Footprint overflow, allocation, frees and
-    //      cross-shard access doom the speculation — it keeps executing to
-    //      completion in SpecBuffer's sandboxed pass-through mode (aborts
-    //      never throw: closures run noexcept destructors) and the closure
-    //      is re-run on the slow path afterwards.
-    //   3. Commit: try-acquire the write set's stripes in canonical
-    //      (sorted) order, validate captured-line versions and the read
-    //      set, advance the shard's fast-path clock to wv, then apply
-    //      durably under fp_gate: MUT -> per-line store+pwb -> pfence ->
-    //      CPY -> psync (durability point) -> seqlock reopen -> replicate
-    //      touched runs to back -> pfence -> IDL.  Release stripes at wv.
-    //
-    // A torn fast-path commit is all-or-nothing through the unchanged
-    // twin-state recovery: a crash in MUT rolls the whole write set back
-    // from back, a crash in CPY re-replicates main.  Stripe words, the
-    // clock and the write set are volatile and die with the crash.
-
-    using FpTx = sync::SpecBuffer;
-    static FpTx& tl_fp() {
-        static thread_local FpTx fp;
-        return fp;
-    }
-
-    static void fp_doom() { sync::spec_doom(tl_fp()); }
-
-    /// Buffered store: every touched line is captured, then overwritten in
-    /// the buffer only (sync::spec_store).  Anything outside the current
-    /// shard's main half is either a volatile test object (plain store) or a
-    /// cross-shard / header write the stripes cannot guard — those doom the
-    /// speculation and the store is dropped (the slow-path re-run performs
-    /// the real one).
-    static void fp_store(void* addr, const void* src, size_t n) {
-        Shard& sh = current_shard();
-        if (!in_shard_main(sh, addr)) {
-            if (s.initialized && s.region.contains(addr)) {
-                fp_doom();
-                return;
-            }
-            std::memcpy(addr, src, n);
-            ROMULUS_RACE_WRITE(addr, n);
-            return;
-        }
-        sync::spec_store(tl_fp(), sh.stripes, sh.main, main_offset(sh, addr),
-                         src, n);
-    }
-
-    /// Validated load: buffered lines read from the write set; everything
-    /// else is read from main and checked against its stripe word
-    /// (sync::spec_load).
-    static void fp_load(void* dst, const void* src, size_t n) {
-        Shard& sh = current_shard();
-        if (!in_shard_main(sh, src)) {
-            if (s.initialized && s.region.contains(src) &&
-                owning_shard_main(src) != nullptr) {
-                // Cross-shard read: not stripe-guarded.  Doom and read raw
-                // (word-atomic — that shard's applier may be mid-commit).
-                fp_doom();
-                sync::word_atomic_copy(dst, src, n);
-                return;
-            }
-            std::memcpy(dst, src, n);
-            return;
-        }
-        sync::spec_load(tl_fp(), sh.stripes, sh.main, main_offset(sh, src),
-                        dst, n);
-    }
-
-    template <typename F>
-    static bool try_fastpath_update(Shard& sh, unsigned shard_id, F& f) {
-        const int t = sync::tid();
-        if (!sh.rwlock.try_read_lock(t)) return false;  // slow writer active
-        FpTx& fp = tl_fp();
-        const UpdateConfig& cfg = update_config();
-        fp.begin(cfg.max_fastpath_lines, cfg.max_read_stripes,
-                 sh.stripes.clock_now());
-        tl.shard = shard_id;
-        tl.tx_depth = 1;  // nested updateTx/readTx/put_object contracts hold
-        tl.fp_active = true;
-        ROMULUS_RACE_TX_BEGIN("update-tx(fp)");
-        bool ok;
-        try {
-            f();
-            ok = !fp.aborted;
-        } catch (...) {
-            // Genuine user exception (speculation aborts never throw).
-            // Nothing was applied, so the transaction is a no-op either way;
-            // but only surface the exception off an undoomed, still-valid
-            // read set — off a dead snapshot it may be an artifact of an
-            // inconsistent view, so retry on the slow path instead of
-            // raising a phantom.
-            const bool consistent =
-                !fp.aborted &&
-                sync::spec_reads_valid(fp, sh.stripes, nullptr, 0);
-            tl.fp_active = false;
-            tl.tx_depth = 0;
-            ROMULUS_RACE_TX_END();
-            sh.rwlock.read_unlock(t);
-            pmem::tl_commit_stats().fastpath_aborts++;
-            if (consistent) {
-                // The surfaced exception IS an aborted transaction from the
-                // caller's (and the persistency checker's) point of view:
-                // nothing was applied, but the lifecycle must stay visible.
-                tx_begin_hook();
-                tx_abort_hook();
-                throw;
-            }
-            return false;
-        }
-        tl.fp_active = false;  // commit uses explicit primitives, not pstore
-        if (ok) ok = fastpath_commit(sh);
-        tl.tx_depth = 0;
-        ROMULUS_RACE_TX_END();
-        sh.rwlock.read_unlock(t);
-        auto& cs = pmem::tl_commit_stats();
-        if (ok) {
-            cs.fastpath_commits++;
-        } else {
-            cs.fastpath_aborts++;
-        }
-        return ok;
-    }
-
-    static bool fastpath_commit(Shard& sh) {
-        FpTx& fp = tl_fp();
-        if (fp.nw == 0) {
-            // Read-only (or no-op) update closure: every load was validated
-            // at version <= rv, so the reads already form a consistent
-            // snapshot of the start-time state and there is nothing to
-            // persist.
-            return true;
-        }
-        unsigned order[FpTx::kLineCap];
-        sync::StripeLockTable::Word pre[FpTx::kLineCap];
-        unsigned ns = 0;
-        if (!sync::spec_lock_write_set(fp, sh.stripes, order, pre, &ns))
-            return false;
-        const uint64_t wv = sh.stripes.clock_advance();
-        fp_apply(sh);
-        for (unsigned j = 0; j < ns; ++j) sh.stripes.release(order[j], wv);
-        return true;
-    }
-
-    /// Durable apply of the validated write set.  fp_gate.write serializes
-    /// concurrent fast-path committers and excludes pessimistic readers, so
-    /// the shard's seqlock and twin-state machine keep their single-writer
-    /// contract (slow-path writers are already excluded by the shared
-    /// rwlock hold) — which is exactly why recovery needs no new cases.
-    static void fp_apply(Shard& sh) {
-        // The write set arrives sorted by offset (spec_lock_write_set), so
-        // back-replication coalesces adjacent lines into maximal runs,
-        // RangeLog-style.
-        FpTx& fp = tl_fp();
-        sh.fp_gate.write_lock();
-        tx_begin_hook();
-        sh.seq.write_enter();
-        ROMULUS_RACE_ACQUIRE(&sh.seq, "seqlock.write_enter");
-        store_state(sh, MUT);
-        pmem::pwb(&sh.hdr->state);
-        pmem::pfence();
-        for (unsigned i = 0; i < fp.nw; ++i) {
-            const auto& wl = fp.wlines[i];
-            uint8_t* dst = sh.main + wl.line_off;
-            if constexpr (Traits::kUseLog) {
-                // Same discipline as the slow path: the store is covered by
-                // a log notification before commit (checker require_log).
-                pmem::notify_range_logged(dst, pmem::kCacheLineSize);
-            }
-            std::memcpy(dst, wl.data, pmem::kCacheLineSize);
-            ROMULUS_RACE_WRITE(dst, pmem::kCacheLineSize);
-            pmem::on_store(dst, pmem::kCacheLineSize);
-            pmem::pwb(dst);
-        }
-        pmem::pfence();  // order the write set before the CPY state persist
-        store_state(sh, CPY);
-        pmem::pwb(&sh.hdr->state);
-        pmem::psync();  // ACID durability point: all of the write set or none
-        // Reopen the optimistic-read window before back replication, like
-        // the slow path (§4.9): readers overlap the replication phase.
-        ROMULUS_RACE_RELEASE(&sh.seq, "seqlock.write_exit");
-        sh.seq.write_exit();
-        for (unsigned i = 0; i < fp.nw;) {
-            const uint64_t off = fp.wlines[i].line_off;
-            uint64_t len = pmem::kCacheLineSize;
-            unsigned j = i + 1;
-            while (j < fp.nw && fp.wlines[j].line_off == off + len) {
-                len += pmem::kCacheLineSize;
-                ++j;
-            }
-            copy_range_to_back(sh, off, len);
-            i = j;
-        }
-        pmem::pfence();  // order back writes before the IDL state write-back
-        store_state(sh, IDL);
-        pmem::pwb(&sh.hdr->state);
-        tx_commit_hook();
-        sh.fp_gate.write_unlock();
     }
 
     // --- combiner ----------------------------------------------------------

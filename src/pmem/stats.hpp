@@ -17,31 +17,22 @@ struct Stats {
     uint64_t pfence = 0;      ///< persist fences issued
     uint64_t psync = 0;       ///< persist syncs issued
     uint64_t nvm_bytes = 0;   ///< bytes stored to the persistent region
-    uint64_t user_bytes = 0;  ///< bytes the *user code* asked to store
     uint64_t tx_aborts = 0;   ///< STM aborts (redo-log baseline only)
 
     Stats operator-(const Stats& o) const {
         return Stats{pwb - o.pwb, pfence - o.pfence, psync - o.psync,
-                     nvm_bytes - o.nvm_bytes, user_bytes - o.user_bytes,
-                     tx_aborts - o.tx_aborts};
+                     nvm_bytes - o.nvm_bytes, tx_aborts - o.tx_aborts};
     }
     Stats& operator+=(const Stats& o) {
         pwb += o.pwb;
         pfence += o.pfence;
         psync += o.psync;
         nvm_bytes += o.nvm_bytes;
-        user_bytes += o.user_bytes;
         tx_aborts += o.tx_aborts;
         return *this;
     }
     /// Fences per transaction as reported in Table 1.
     uint64_t fences() const { return pfence + psync; }
-    /// Write amplification (§3.1): NVM bytes written per user byte.
-    double write_amplification() const {
-        return user_bytes == 0 ? 0.0
-                               : static_cast<double>(nvm_bytes) /
-                                     static_cast<double>(user_bytes);
-    }
 };
 
 /// This thread's counters.  Counting is always on; the increments are cheap
@@ -68,14 +59,13 @@ struct CommitStats {
     /// record_in) rather than on the hot path; stays 0 unless an analysis
     /// run deposits its diagnostic here.
     uint64_t redundant_pwbs = 0;
-    /// Stripe-locked speculative fast path (DESIGN.md §4.11) outcomes for
-    /// update transactions on this thread:
-    uint64_t fastpath_commits = 0;  ///< updateTx committed speculatively
-    uint64_t fastpath_aborts = 0;   ///< speculations aborted (conflict,
-                                    ///< footprint overflow, allocation)
-    uint64_t fastpath_fallbacks = 0;  ///< updateTx that ran the C-RW-WP
-                                      ///< slow path (after aborting or
-                                      ///< because the fast path is off)
+    /// Outcomes of the redo-log baseline's TL2 speculative commit for update
+    /// transactions on this thread.  The Romulus engines and the undo-log
+    /// baseline have no speculative update path and leave these at 0.
+    uint64_t fastpath_commits = 0;    ///< updateTx committed speculatively
+    uint64_t fastpath_aborts = 0;     ///< speculations aborted on conflict
+    uint64_t fastpath_fallbacks = 0;  ///< updateTx that took the fallback
+                                      ///< mutex instead of speculating
     /// Flat-combining batch-size histogram: bucket b counts combined
     /// transactions whose batch held (2^(b-1), 2^b] announced operations
     /// (bucket 0 = singletons, bucket 7 = everything above 64).  Shows how

@@ -35,21 +35,6 @@ class CRWWPLock {
         }
     }
 
-    /// Single-shot shared acquisition: arrive, and if a writer is present
-    /// (or waiting) depart and fail instead of spinning.  The speculative
-    /// update fast path uses this to exclude slow-path writers for the
-    /// duration of a stripe-locked commit without ever waiting behind one —
-    /// failure just means "take the slow path yourself".
-    bool try_read_lock(int t) {
-        ri_.arrive(t);
-        if (!writer_present_.load(std::memory_order_seq_cst)) {
-            ROMULUS_RACE_ACQUIRE(this, "crwwp.read_lock");
-            return true;
-        }
-        ri_.depart(t);
-        return false;
-    }
-
     void read_unlock(int t) { ri_.depart(t); }
 
     void write_lock() {

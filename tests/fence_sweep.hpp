@@ -33,10 +33,7 @@
 #include "analysis/model_oracle.hpp"
 #include "analysis/romfuzz.hpp"
 #include "analysis/tx_trace.hpp"
-#include "core/engine_globals.hpp"
 #include "pmem/sim_persistence.hpp"
-#include "pmem/stats.hpp"
-#include "test_support.hpp"
 
 namespace romulus::test {
 
@@ -82,7 +79,6 @@ struct NullSweepClient {
 struct FenceSweepStats {
     uint64_t fences_total = 0;
     int crashes = 0;
-    uint64_t fastpath_commits = 0;  ///< stripe fast-path commits (dry run)
 };
 
 template <typename E, typename Client = NullSweepClient>
@@ -128,9 +124,7 @@ FenceSweepStats run_trace_fence_sweep(const analysis::TxTrace& trace,
         FenceCrashSim sim(E::region().base(), E::region().size(), opts);
         pmem::set_sim_hooks(&sim);
         size_t done = 0;
-        const uint64_t fp0 = pmem::tl_commit_stats().fastpath_commits;
         apply_all(kv, done);
-        stats.fastpath_commits = pmem::tl_commit_stats().fastpath_commits - fp0;
         pmem::set_sim_hooks(nullptr);
         stats.fences_total = sim.model().fence_count();
     }
@@ -212,28 +206,6 @@ FenceSweepStats run_trace_fence_sweep(const analysis::TxTrace& trace,
         if (::testing::Test::HasFatalFailure()) return stats;
     }
     EXPECT_GT(stats.crashes, 0);
-    return stats;
-}
-
-/// Fast-path-armed sweep: pins the stripe-locked speculative update path on
-/// (with a footprint generous enough for small KV updates), runs the normal
-/// every-fence sweep, and asserts the dry run actually committed through the
-/// stripe path — otherwise a sweep advertised as covering fast-path commit
-/// fences would silently cover only the slow path.  Crash injection inside
-/// fp_apply exercises the claim that torn fast-path commits recover through
-/// the unchanged twin-state machinery (DESIGN.md §4.11).
-template <typename E, typename Client = NullSweepClient>
-FenceSweepStats run_trace_fence_sweep_fastpath(
-    const analysis::TxTrace& trace, const std::string& path,
-    pmem::SimPersistence::Options opts, Client&& client = Client{},
-    size_t heap_bytes = 12u << 20) {
-    UpdateConfigGuard guard;
-    update_config().fastpath = true;
-    update_config().max_fastpath_lines = 16;
-    FenceSweepStats stats = run_trace_fence_sweep<E>(
-        trace, path, opts, std::forward<Client>(client), heap_bytes);
-    EXPECT_GT(stats.fastpath_commits, 0u)
-        << "trace never commits through the speculative fast path";
     return stats;
 }
 

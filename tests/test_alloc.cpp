@@ -18,15 +18,9 @@ class AllocTest : public ::testing::Test {
   protected:
     void SetUp() override {
         pmem::set_profile(pmem::Profile::NOP);
-        // These closures accumulate pointers into captured containers, which
-        // is not restartable under the §4.11 speculative fast path (a doomed
-        // run would push scratch-arena pointers); they exercise the slow-path
-        // allocator anyway, so pin the fast path off.
-        update_config().fastpath = false;
         session_ = std::make_unique<test::EngineSession<E>>(32u << 20, "alloc");
     }
     void TearDown() override { session_.reset(); }
-    test::UpdateConfigGuard update_guard_;
     std::unique_ptr<test::EngineSession<E>> session_;
 };
 
@@ -143,13 +137,9 @@ class AllocStress
   protected:
     void SetUp() override {
         pmem::set_profile(pmem::Profile::NOP);
-        // The random alloc/free closures mutate the captured `live` vector,
-        // so they are not restartable under the speculative fast path.
-        update_config().fastpath = false;
         session_ = std::make_unique<test::EngineSession<E>>(64u << 20, "allocp");
     }
     void TearDown() override { session_.reset(); }
-    test::UpdateConfigGuard update_guard_;
     std::unique_ptr<test::EngineSession<E>> session_;
 };
 

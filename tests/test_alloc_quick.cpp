@@ -16,10 +16,6 @@ class QuickCacheTest : public ::testing::Test {
   protected:
     void SetUp() override {
         pmem::set_profile(pmem::Profile::NOP);
-        // Quick-cache mechanics are slow-path allocator behaviour, and the
-        // stress closure mutates a captured `live` vector (not restartable
-        // under the §4.11 fast path): pin speculation off.
-        update_config().fastpath = false;
         session_ = std::make_unique<test::EngineSession<E>>(32u << 20, "quick");
         E::allocator().set_quick_cache(true);
     }
@@ -27,7 +23,6 @@ class QuickCacheTest : public ::testing::Test {
         if (E::initialized()) E::allocator().set_quick_cache(false);
         session_.reset();
     }
-    test::UpdateConfigGuard update_guard_;
     std::unique_ptr<test::EngineSession<E>> session_;
 };
 

@@ -21,15 +21,10 @@ class UndoLogTest : public ::testing::Test {
   protected:
     void SetUp() override {
         pmem::set_profile(pmem::Profile::NOP);
-        // These tests document the undo log's *slow-path* cost model
-        // (per-store entries and fences): pin the speculative fast path off
-        // so small transactions don't commit through the stripe path.
-        update_config().fastpath = false;
         session_ =
             std::make_unique<EngineSession<UndoLogPTM>>(32u << 20, "undospec");
     }
     void TearDown() override { session_.reset(); }
-    romulus::test::UpdateConfigGuard update_guard_;
     std::unique_ptr<EngineSession<UndoLogPTM>> session_;
 };
 

@@ -214,11 +214,6 @@ TEST(CheckerChain, ForwardsEventsToNextObserver) {
 // commit copy skips the line, so a crash right after commit loses it.
 TEST(CheckerViolation, UnloggedStoreInsideTransaction) {
     using E = RomulusLog;
-    // This test bypasses the engine's interposition with raw stores to seed
-    // the violation; that only makes sense on the pessimistic slow path
-    // (a speculation would buffer nothing and commit as a no-op).
-    romulus::test::UpdateConfigGuard update_guard;
-    update_config().fastpath = false;
     EngineSession<E> session(kHeapBytes, "checker_unlogged");
     struct Wide {
         unsigned char bytes[256];
@@ -262,9 +257,6 @@ TEST(CheckerViolation, UnloggedStoreInsideTransaction) {
 // engine advertises the commit (dirty at CPY transition, dirty at commit).
 TEST(CheckerViolation, MissingPwbBeforeCommit) {
     using E = RomulusNL;  // NL: no log discipline, flush-per-store
-    // Raw-store bypass scenario: slow path only (see above).
-    romulus::test::UpdateConfigGuard update_guard;
-    update_config().fastpath = false;
     EngineSession<E> session(kHeapBytes, "checker_nopwb");
     struct Wide {
         unsigned char bytes[256];

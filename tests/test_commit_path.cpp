@@ -15,15 +15,23 @@
 //      commits measurably faster) with the coalesced+streaming commit path
 //      than with the pre-overhaul per-line path, verified via Stats and
 //      CommitStats counters.
+//
+// Also here: the combiner's bounded batch-wait (combine_wait_us) and the
+// shared parser behind the env tuning knobs.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "analysis/tx_trace.hpp"
+#include "core/engine_globals.hpp"
 #include "fence_sweep.hpp"
 #include "pmem/checker.hpp"
 #include "pmem/sim_persistence.hpp"
@@ -335,6 +343,116 @@ TEST(CommitPathAcceptance, Sequential8KBTxNeedsFarFewerPwbs) {
     EXPECT_GT(cs.lines_merged(), 0u);
     EXPECT_GT(cs.avg_run_lines(), 64.0);  // 8 KB coalesces into one long run
     EXPECT_GT(cs.nt_bytes, uint64_t(kReps) * 8192u / 2);
+}
+
+// With combine_wait_us set, the combiner holds its MUT window open briefly
+// so concurrent announcers join one durable batch instead of each paying
+// their own fence pair.
+TEST(CombineBatchWait, ConcurrentAnnouncersShareOneDurableBatch) {
+    using E = RomulusNL;
+    test::ProfileGuard profile(pmem::Profile::NOP);
+    CommitConfigGuard commit_guard;
+    pmem::commit_config().combine_wait_us = 3000;
+    test::EngineSession<E> session(32u << 20, "combine_wait");
+
+    using PU = E::p<uint64_t>;
+    PU* arr = nullptr;
+    E::updateTx([&] {
+        arr = static_cast<PU*>(E::alloc_bytes(8 * 64));
+        for (int i = 0; i < 64; ++i) arr[i] = 0u;
+        E::put_object(2, arr);
+    });
+
+    constexpr int kThreads = 4;
+    constexpr uint64_t kRounds = 100;
+    // combine_hist is thread-local to whichever thread combined: aggregate
+    // the multi-op buckets (>= 2 ops, buckets 1..7) across workers.
+    std::atomic<uint64_t> multi_op_batches{0};
+    std::vector<std::thread> ts;
+    for (int w = 0; w < kThreads; ++w) {
+        ts.emplace_back([&, w] {
+            const auto& cs = pmem::tl_commit_stats();
+            uint64_t before = 0;
+            for (int b = 1; b < 8; ++b) before += cs.combine_hist[b];
+            for (uint64_t r = 0; r < kRounds; ++r) {
+                E::updateTx([&] { arr[w] = arr[w].pload() + 1; });
+            }
+            uint64_t after = 0;
+            for (int b = 1; b < 8; ++b) after += cs.combine_hist[b];
+            multi_op_batches.fetch_add(after - before);
+        });
+    }
+    for (auto& t : ts) t.join();
+
+    uint64_t sum = 0;
+    E::readTx([&] {
+        for (int w = 0; w < kThreads; ++w) sum += arr[w].pload();
+    });
+    EXPECT_EQ(sum, kThreads * kRounds);
+    // The wait window must have batched at least one pair of announcers.
+    EXPECT_GT(multi_op_batches.load(), 0u);
+}
+
+// ------------------------------------------------------- env knob parsing
+
+TEST(EnvTuning, SharedParserRejectsMalformedValues) {
+    long v = 123;
+    EXPECT_FALSE(parse_env_long(nullptr, 0, &v));
+    EXPECT_FALSE(parse_env_long("", 0, &v));
+    EXPECT_FALSE(parse_env_long("abc", 0, &v));     // atol would yield 0
+    EXPECT_FALSE(parse_env_long("12x", 0, &v));     // trailing garbage
+    EXPECT_FALSE(parse_env_long("1.5", 0, &v));     // not an integer
+    EXPECT_FALSE(parse_env_long("9999999999999999999999", 0, &v));  // ERANGE
+    EXPECT_FALSE(parse_env_long("-3", 0, &v));      // below the floor
+    EXPECT_EQ(v, 123);                              // *out untouched
+    EXPECT_TRUE(parse_env_long("42", 1, &v));
+    EXPECT_EQ(v, 42);
+    EXPECT_TRUE(parse_env_long(" 7 ", 0, &v));      // blanks tolerated
+    EXPECT_EQ(v, 7);
+    EXPECT_TRUE(parse_env_long("0", 0, &v));
+    EXPECT_EQ(v, 0);
+}
+
+/// RAII: every knob apply_env_tuning() may touch.
+struct TuningGuard {
+    ReadConfig read = read_config();
+    CommitConfigGuard commit;
+    ~TuningGuard() { read_config() = read; }
+};
+
+TEST(EnvTuning, MalformedKnobsLeaveDefaults) {
+    TuningGuard guard;
+    const ReadConfig read_before = read_config();
+    const pmem::CommitConfig commit_before = pmem::commit_config();
+    ::setenv("ROMULUS_READ_MAX_ATTEMPTS", "0", 1);  // below the >= 1 floor
+    ::setenv("ROMULUS_COMBINE_WAIT_US", "8x", 1);
+    ::setenv("ROMULUS_COMBINE_RESCANS", "banana", 1);
+    const std::string applied = apply_env_tuning();
+    ::unsetenv("ROMULUS_READ_MAX_ATTEMPTS");
+    ::unsetenv("ROMULUS_COMBINE_WAIT_US");
+    ::unsetenv("ROMULUS_COMBINE_RESCANS");
+    EXPECT_EQ(read_config().max_attempts, read_before.max_attempts);
+    EXPECT_EQ(pmem::commit_config().combine_wait_us,
+              commit_before.combine_wait_us);
+    EXPECT_EQ(pmem::commit_config().combine_rescans,
+              commit_before.combine_rescans);
+    EXPECT_TRUE(applied.empty()) << applied;
+}
+
+TEST(EnvTuning, WellFormedKnobsApply) {
+    TuningGuard guard;
+    ::setenv("ROMULUS_READ_MAX_ATTEMPTS", "16", 1);
+    ::setenv("ROMULUS_COMBINE_WAIT_US", "25", 1);
+    ::setenv("ROMULUS_COMBINE_RESCANS", "0", 1);
+    const std::string applied = apply_env_tuning();
+    ::unsetenv("ROMULUS_READ_MAX_ATTEMPTS");
+    ::unsetenv("ROMULUS_COMBINE_WAIT_US");
+    ::unsetenv("ROMULUS_COMBINE_RESCANS");
+    EXPECT_EQ(read_config().max_attempts, 16u);
+    EXPECT_EQ(pmem::commit_config().combine_wait_us, 25u);
+    EXPECT_EQ(pmem::commit_config().combine_rescans, 0u);
+    EXPECT_NE(applied.find("ROMULUS_READ_MAX_ATTEMPTS=16"), std::string::npos)
+        << applied;
 }
 
 }  // namespace

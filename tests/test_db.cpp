@@ -156,6 +156,29 @@ TEST_F(RomulusDbTest, RandomOpsMatchStdMap) {
     EXPECT_EQ(db_->size(), model.size());
 }
 
+// A 1024-key batch that crosses a KVStore grow() relinks every node of the
+// table inside one update transaction.  Regression test for a hang in a
+// since-removed speculative update path, which ran such a closure on a
+// partial write set; ctest runs it under a TIMEOUT (tests/CMakeLists.txt).
+TEST_F(RomulusDbTest, BatchCrossingTableGrowthCompletes) {
+    WriteOptions wo;
+    const std::string value(100, 'v');
+    constexpr int kBatch = 1024;
+    constexpr int kBatches = 9;  // the 9th crosses the grow at 8192 entries
+    for (int b = 0; b < kBatches; ++b) {
+        WriteBatch batch;
+        for (int i = 0; i < kBatch; ++i)
+            batch.put("key" + std::to_string(b * kBatch + i), value);
+        db_->write(wo, batch);
+    }
+    EXPECT_EQ(db_->size(), uint64_t(kBatch) * kBatches);
+    std::string got;
+    for (int k = 0; k < kBatch * kBatches; k += 97) {
+        ASSERT_TRUE(db_->get("key" + std::to_string(k), &got)) << k;
+        EXPECT_EQ(got, value);
+    }
+}
+
 // ---------------------------------------------------------------- WalDB
 
 TEST(WalDbTest, PutGetDeleteAndOrder) {

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -33,6 +34,7 @@
 #include "pmem/sim_persistence.hpp"
 #include "ptm_types.hpp"
 #include "sync/seqlock.hpp"
+#include "sync/spinlock.hpp"
 #include "test_support.hpp"
 
 using namespace romulus;
@@ -294,6 +296,66 @@ TYPED_TEST(OptimisticRead, TornPointerIsRejectedBeforeDereference) {
     EXPECT_EQ(rs.opt_commits, 0u);
 }
 
+// A reader that arrives while a writer window is open must outwait it at
+// the default max_attempts and then commit optimistically.  Falling back
+// instead would send it to the reader lock, which waits out the writer's
+// whole hold, back replication included.  This thread holds the window for
+// kWindow once the reader has announced itself.  A trial counts only when
+// the reader overlapped the window and the window closed within kFair of
+// the reader's start: a host that deschedules either thread can otherwise
+// stretch the reader's odd-window spin far past kWindow.  kFair is about
+// 40 pauses here (25 ns each), inside the default's 64 and far past the
+// old default's 4.
+TYPED_TEST(OptimisticRead, ReaderOutwaitsOneWriterWindow) {
+    using E = TypeParam;
+    using Clock = std::chrono::steady_clock;
+    constexpr auto kWindow = std::chrono::nanoseconds(300);
+    constexpr auto kFair = std::chrono::nanoseconds(1000);
+    test::EngineSession<E> session(16u << 20, "opt_outwait");
+    TwoCells<E> cells;
+    cells.create(8);
+    ASSERT_EQ(read_config().max_attempts, ReadConfig{}.max_attempts);
+
+    int counted = 0;
+    for (int trial = 0; trial < 400 && counted < 3; ++trial) {
+        std::atomic<bool> arrived{false};
+        Clock::time_point start;
+        ReadStats rs;
+        uint64_t got = 0;
+        E::seq_for_tests().write_enter();
+        std::thread reader([&] {
+            reset_tl_read_stats();
+            start = Clock::now();
+            arrived.store(true, std::memory_order_release);
+            E::readTx([&] {
+                got = 0;  // restartable
+                got = cells.c1->pload();
+            });
+            rs = tl_read_stats();
+        });
+        while (!arrived.load(std::memory_order_acquire)) sync::cpu_relax();
+        const Clock::time_point t0 = Clock::now();
+        while (Clock::now() - t0 < kWindow) sync::cpu_relax();
+        const Clock::time_point closed = Clock::now();
+        E::seq_for_tests().write_exit();
+        reader.join();
+
+        EXPECT_EQ(got, 8u);
+        if (rs.opt_aborts == 0 || closed - start > kFair) continue;
+        ++counted;
+        EXPECT_EQ(rs.fallbacks, 0u)
+            << "gave up after " << rs.opt_aborts << " attempts, window closed "
+            << std::chrono::duration_cast<std::chrono::nanoseconds>(closed -
+                                                                    start)
+                   .count()
+            << " ns after the reader started";
+        EXPECT_EQ(rs.opt_commits, 1u);
+    }
+    if (counted == 0)
+        GTEST_SKIP() << "no trial overlapped the window with both threads "
+                        "running";
+}
+
 // ------------------------------------------------------------ churn check
 
 /// Reader/writer churn: writers keep the two cells equal inside one
@@ -311,7 +373,9 @@ void run_churn(int writer_txs) {
     std::atomic<uint64_t> opt_commits{0};
     std::thread reader([&] {
         reset_tl_read_stats();
-        while (!stop.load(std::memory_order_acquire)) {
+        // do-while: the writer may finish all its transactions before this
+        // thread is first scheduled, and the check below needs one read.
+        do {
             uint64_t a = 0, b = 0;
             E::readTx([&] {
                 a = 0;
@@ -321,7 +385,7 @@ void run_churn(int writer_txs) {
             });
             if (a != b) bad.fetch_add(1);
             reads.fetch_add(1);
-        }
+        } while (!stop.load(std::memory_order_acquire));
         opt_commits.store(tl_read_stats().opt_commits);
     });
     for (int j = 1; j <= writer_txs; ++j) {

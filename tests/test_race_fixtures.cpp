@@ -21,7 +21,6 @@
 #include "sync/left_right.hpp"
 #include "sync/read_indicator.hpp"
 #include "sync/spinlock.hpp"
-#include "sync/stripe_lock.hpp"
 #include "sync/thread_registry.hpp"
 
 namespace {
@@ -239,128 +238,6 @@ TEST_F(RaceFixtureTest, LeftRightWithToggleIsSilent) {
         lr.depart(t, vi);
         advance(step, 2);
         await(step, 3);  // stay alive: distinct tids
-    });
-    writer.join();
-    reader.join();
-
-    EXPECT_EQ(RaceDetector::instance().race_count(), 0u)
-        << RaceDetector::instance().report_text();
-}
-
-// ---------------------------------------------------------------------------
-// Fixture C: stripe try-lock with the committing release elided.
-// ---------------------------------------------------------------------------
-
-/// One stripe of sync::StripeLockTable with the seeded bug: the committer
-/// publishes the post-commit version word with a plain store, skipping
-/// release() and with it the "stripe.release" annotation.  try_acquire and
-/// the word accessors match sync/stripe_lock.hpp, so an optimistic reader's
-/// "stripe.validate" acquire finds no release edge to pair with.
-class ElidedReleaseStripe {
-  public:
-    using Word = romulus::sync::StripeLockTable::Word;
-    static constexpr Word kLockedBit =
-        romulus::sync::StripeLockTable::kLockedBit;
-
-    bool try_acquire(Word& observed) {
-        Word w = w_.load(std::memory_order_relaxed);
-        if ((w & kLockedBit) != 0) {
-            observed = w;
-            return false;
-        }
-        if (!w_.compare_exchange_strong(w, w | kLockedBit,
-                                        std::memory_order_acquire,
-                                        std::memory_order_relaxed)) {
-            observed = w;
-            return false;
-        }
-        observed = w;
-        ROMULUS_RACE_ACQUIRE(&w_, "stripe.acquire");
-        return true;
-    }
-
-    /// BUG (seeded): publishes the new version without the "stripe.release"
-    /// annotation of StripeLockTable::release().
-    void release_elided(Word new_version) {
-        w_.store(new_version << 1, std::memory_order_release);
-    }
-
-    Word read() const { return w_.load(std::memory_order_acquire); }
-    const std::atomic<Word>* word() const { return &w_; }
-
-  private:
-    std::atomic<Word> w_{0};
-};
-
-// A fast-path committer that skips release(): its write to the line stays
-// unordered before a later optimistic reader, even though the reader's
-// version validation succeeds (the version word itself was published).
-TEST_F(RaceFixtureTest, StripeElidedReleaseIsDetected) {
-    ElidedReleaseStripe stripe;
-    std::atomic<int> step{0};
-    int writer_tid = -1, reader_tid = -1;
-
-    std::thread writer([&] {
-        writer_tid = romulus::sync::tid();
-        ElidedReleaseStripe::Word pre = ~0ull;
-        EXPECT_TRUE(stripe.try_acquire(pre));
-        race_write(&words_[2], 8);
-        stripe.release_elided(1);  // BUG: no "stripe.release" edge
-        advance(step, 1);
-        await(step, 2);  // stay alive: distinct tids
-    });
-    std::thread reader([&] {
-        reader_tid = romulus::sync::tid();
-        await(step, 1);
-        const ElidedReleaseStripe::Word w0 = stripe.read();
-        EXPECT_EQ(w0 & ElidedReleaseStripe::kLockedBit, 0u);
-        // The protocol's validation passes (the version word is stable),
-        // so the read IS recorded — and races with the unreleased write.
-        EXPECT_TRUE(ROMULUS_RACE_OPTIMISTIC_READ(stripe.word(), &words_[2], 8,
-                                                 w0, stripe.word(),
-                                                 "stripe.validate"));
-        advance(step, 2);
-    });
-    writer.join();
-    reader.join();
-
-    auto& d = RaceDetector::instance();
-    ASSERT_EQ(d.race_count(), 1u) << d.report_text();
-    auto r = d.reports()[0];
-    EXPECT_STREQ(r.kind, "write-then-read");
-    EXPECT_EQ(r.prev.tid, writer_tid);
-    EXPECT_TRUE(r.prev.is_write);
-    EXPECT_EQ(r.cur.tid, reader_tid);
-    EXPECT_FALSE(r.cur.is_write);
-    EXPECT_EQ(r.prev.addr, reinterpret_cast<uintptr_t>(&words_[2]));
-    EXPECT_EQ(r.cur.addr, reinterpret_cast<uintptr_t>(&words_[2]));
-}
-
-// Control: the real sync::StripeLockTable, whose release() records the
-// "stripe.release" edge the validate-acquire pairs with, reports nothing.
-TEST_F(RaceFixtureTest, StripeProperReleaseIsSilent) {
-    romulus::sync::StripeLockTable stripes(16);
-    const unsigned s = stripes.stripe_of_line(0);
-    std::atomic<int> step{0};
-
-    std::thread writer([&] {
-        (void)romulus::sync::tid();
-        romulus::sync::StripeLockTable::Word pre = ~0ull;
-        EXPECT_TRUE(stripes.try_acquire(s, pre));
-        race_write(&words_[2], 8);
-        stripes.release(s, stripes.clock_advance());
-        advance(step, 1);
-        await(step, 2);  // stay alive: distinct tids
-    });
-    std::thread reader([&] {
-        (void)romulus::sync::tid();
-        await(step, 1);
-        const romulus::sync::StripeLockTable::Word w0 = stripes.read(s);
-        EXPECT_FALSE(romulus::sync::StripeLockTable::is_locked(w0));
-        EXPECT_TRUE(ROMULUS_RACE_OPTIMISTIC_READ(stripes.word(s), &words_[2],
-                                                 8, w0, stripes.word(s),
-                                                 "stripe.validate"));
-        advance(step, 2);
     });
     writer.join();
     reader.join();

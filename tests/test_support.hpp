@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <string>
 
-#include "core/engine_globals.hpp"
 #include "pmem/flush.hpp"
 
 namespace romulus::test {
@@ -16,14 +15,6 @@ inline std::string heap_path(const std::string& tag) {
     return "/dev/shm/romulus_test_" + tag + "_" + std::to_string(::getpid()) +
            ".heap";
 }
-
-/// RAII: save/restore the speculative-fast-path knobs.  Tests that assert
-/// slow-path mechanics (per-store log entries, Table-1 fence counts, checker
-/// event sequences) construct one and set `update_config().fastpath = false`.
-struct UpdateConfigGuard {
-    UpdateConfig saved = update_config();
-    ~UpdateConfigGuard() { update_config() = saved; }
-};
 
 /// RAII: select a flush profile for the duration of a test.
 struct ProfileGuard {
