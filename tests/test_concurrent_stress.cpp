@@ -179,3 +179,69 @@ TYPED_TEST(ConcStress, DisjointRangeChurnKeepsMapConsistent) {
     // Each writer only touched its own range: keys outside are absent.
     EXPECT_FALSE(map->contains(kWriters * kRange + 1));
 }
+
+// Disjoint writers hammer thread-private cache lines while optimistic
+// readers sweep the same array.  The name dates from the retired stripe
+// fast path (DESIGN.md §4.11), which this suite once armed; every update
+// now goes announce -> flat combiner, and the check is unchanged: exact
+// per-slot sums and no reader snapshot above the final total.  Under
+// race_clean_stress (detector armed via test_race_clean_env.cpp) it also
+// keeps the combiner + seqlock annotations at zero false positives on a
+// many-writer disjoint workload.
+TYPED_TEST(ConcStress, StripeFastPathDisjointChurnStaysConsistent) {
+    using P = TypeParam;
+    using PU = typename P::template p<uint64_t>;
+    constexpr int kWriters = 4;
+    constexpr uint64_t kRounds = 250;
+
+    PU* arr = nullptr;
+    P::updateTx([&] {
+        arr = static_cast<PU*>(P::alloc_bytes(64 * 64));
+        for (int i = 0; i < 64; ++i) arr[i * 8] = 0u;
+        P::put_object(0, arr);
+    });
+
+    std::atomic<bool> stop{false};
+    std::atomic<bool> bad{false};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+        readers.emplace_back([&] {
+            while (!stop.load(std::memory_order_relaxed)) {
+                uint64_t sum = 0;
+                // Re-fetch the root inside the tx (LR redirection) and keep
+                // the closure restartable (optimistic readers re-execute).
+                P::readTx([&] {
+                    auto* a = P::template get_object<PU>(0);
+                    sum = 0;
+                    for (int i = 0; i < kWriters; ++i) sum += a[i * 8].pload();
+                });
+                if (sum > kWriters * kRounds) bad.store(true);
+            }
+        });
+    }
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+        // w by value: the loop variable dies before the threads finish.
+        writers.emplace_back([&, w] {
+            for (uint64_t i = 0; i < kRounds; ++i) {
+                P::updateTx([&] {
+                    auto* a = P::template get_object<PU>(0);
+                    a[w * 8] = a[w * 8].pload() + 1;
+                });
+            }
+        });
+    }
+    for (auto& t : writers) t.join();
+    stop.store(true);
+    for (auto& t : readers) t.join();
+    EXPECT_FALSE(bad.load());
+
+    for (int w = 0; w < kWriters; ++w) {
+        uint64_t v = 0;
+        P::readTx([&] {
+            auto* a = P::template get_object<PU>(0);
+            v = a[w * 8].pload();
+        });
+        EXPECT_EQ(v, kRounds) << "slot " << w;
+    }
+}
